@@ -38,14 +38,18 @@ build:
 test:
 	$(GO) test ./...
 
+# The race detector at GOMAXPROCS 1, 2 and 8, so multi-P scheduling is
+# exercised even on a 1-CPU runner and the serial schedule on a
+# many-core one.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,8 ./...
 
 # The multi-tenant concurrency stress matrix (N tenants × fault classes
 # × seeds) plus the shared-layer concurrency tests, run twice under the
-# race detector so scheduling varies between passes.
+# race detector at each of GOMAXPROCS 1, 2 and 8 so scheduling varies
+# between passes.
 stress:
-	$(GO) test -race -count=2 -run 'TestConcurrencyStressMatrix|TestConcurrentMultiTenantServing|TestSameTenantConcurrentCallsSerialize|Concurrent' ./ ./internal/core/ ./internal/secmem/
+	$(GO) test -race -count=2 -cpu 1,2,8 -run 'TestConcurrencyStressMatrix|TestConcurrentMultiTenantServing|TestSameTenantConcurrentCallsSerialize|Concurrent' ./ ./internal/core/ ./internal/secmem/
 
 vet:
 	$(GO) vet ./...
@@ -99,6 +103,7 @@ cover:
 # Short fuzz campaigns over every attacker-facing parser.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=15s ./internal/pcie/
+	$(GO) test -fuzz=FuzzSerializeInto -fuzztime=10s ./internal/pcie/
 	$(GO) test -fuzz=FuzzUnmarshalRule -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzUnmarshalDescriptor -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzUnmarshalBlob -fuzztime=10s ./internal/core/

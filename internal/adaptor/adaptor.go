@@ -11,7 +11,6 @@ package adaptor
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ccai/internal/arena"
@@ -34,15 +33,11 @@ type Options struct {
 	BatchedMetadata bool
 	// HWCrypto uses AES-NI-class hardware instructions for
 	// de/encryption (timing model; the functional bytes are identical).
+	// Crypto always runs serially on the calling goroutine, one
+	// pipeline per tenant: the paper's "allocate additional CPU
+	// threads" optimization is priced by the virtual-time cost model
+	// (bench.OptSet.ParallelCrypto), not emulated here.
 	HWCrypto bool
-	// ParallelCrypto spreads crypto across extra CPU threads: chunk
-	// seal/open within one region fans out over a bounded worker pool
-	// (the paper's "allocate additional CPU threads" optimization).
-	ParallelCrypto bool
-	// CryptoWorkers bounds the parallel-crypto pool. Zero means auto:
-	// min(GOMAXPROCS, 8) when ParallelCrypto is set, otherwise 1
-	// (serial).
-	CryptoWorkers int
 	// SubmitRing batches control-path operations (descriptor installs,
 	// tag uploads, releases, notifies, A3 guarded writes) into a shared
 	// submission ring published with one doorbell MMIO per burst
@@ -57,7 +52,7 @@ type Options struct {
 
 // Optimized is the full ccAI optimization set.
 func Optimized() Options {
-	return Options{BatchTags: true, BatchedMetadata: true, HWCrypto: true, ParallelCrypto: true, SubmitRing: true, CompletionReap: true}
+	return Options{BatchTags: true, BatchedMetadata: true, HWCrypto: true, SubmitRing: true, CompletionReap: true}
 }
 
 // NoOpt is the Figure 11 ablation configuration.
@@ -126,10 +121,9 @@ type Adaptor struct {
 	policy RetryPolicy
 	clock  *sim.Engine
 	rec    RecoveryStats
-	pool   *secmem.Pool // per-chunk crypto fan-out
 
 	// Per-call scratch reused across staging/collect batches (guarded by
-	// mu): the slice-header tables for seal/open fan-out. Plaintext
+	// mu): the slice-header tables for batch seal/open. Plaintext
 	// aliases are cleared before the call returns so the Adaptor never
 	// retains references into a caller's buffer.
 	scratchPts    [][]byte
@@ -156,24 +150,18 @@ func New(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scB
 // NewScoped is New with an explicit staging-region name; multi-tenant
 // platforms give each tenant its own shared window.
 func NewScoped(id pcie.ID, bus *pcie.Bus, space *mem.Space, keys *secmem.KeyStore, scBar, xpuBar uint64, region string, opts Options) *Adaptor {
-	w := opts.CryptoWorkers
-	if w <= 0 {
-		w = 1
-		if opts.ParallelCrypto {
-			if w = runtime.GOMAXPROCS(0); w > 8 {
-				w = 8
-			}
-		}
-	}
 	return &Adaptor{
 		id: id, bus: bus, space: space, keys: keys,
 		scBar: scBar, xpuBar: xpuBar, region: region, opts: opts, nextID: 1,
-		nextTag: 1, policy: DefaultRetryPolicy(), pool: secmem.NewPool(w),
+		nextTag: 1, policy: DefaultRetryPolicy(),
 	}
 }
 
-// CryptoWorkers reports the resolved parallel-crypto pool width.
-func (a *Adaptor) CryptoWorkers() int { return a.pool.Workers() }
+// CryptoWorkers reports how many goroutines the Adaptor's batch crypto
+// uses: always 1, because Adaptor crypto runs on the calling goroutine.
+// Benchmarks size their secmem probes from it so the probe times what
+// the datapath does.
+func (a *Adaptor) CryptoWorkers() int { return 1 }
 
 // Options reports the active optimization set.
 func (a *Adaptor) Options() Options { return a.opts }
@@ -399,9 +387,8 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 	}
 
 	// Chunk the payload. Counters are reserved contiguously under the
-	// stream lock (matching desc.FirstCounter), the AES-GCM work fans
-	// out over the crypto pool (§5 parallel-crypto optimization), and
-	// AADs share one backing array instead of one alloc per chunk.
+	// stream lock (matching desc.FirstCounter) and AADs share one
+	// backing array instead of one alloc per chunk.
 	nChunks := (len(data) + core.ChunkSize - 1) / core.ChunkSize
 	if cap(a.scratchPts) < nChunks {
 		a.scratchPts = make([][]byte, nChunks)
@@ -424,10 +411,10 @@ func (a *Adaptor) StageH2D(name string, data []byte) (*Region, error) {
 		aads[i] = ab
 	}
 
-	// Streaming pipeline (DESIGN.md §10): the crypto pool delivers
-	// sealed chunks in submission order while this emit stage copies
-	// each into the bounce buffer and flushes full tag packets — DMA
-	// staging for chunk i overlaps the sealing of chunks > i. The
+	// Streaming pipeline (DESIGN.md §10): the stream seals chunks in
+	// submission order and this emit stage copies each into the bounce
+	// buffer and flushes full tag packets as they fill, so no "seal
+	// all, then write all" barrier holds the tag traffic back. The
 	// chunk's arena-backed ciphertext is only valid inside emit, so it
 	// is copied out before returning.
 	recs := make([]core.TagRecord, 0, nChunks)
@@ -627,10 +614,10 @@ func (a *Adaptor) CollectD2H(r *Region, n int64) ([]byte, error) {
 	}
 	// Assemble the batch from the bounce buffer + tag table (records by
 	// value, AADs sharing one backing array), then authenticate and
-	// decrypt straight into the result buffer on the crypto pool; the
-	// stream replica enforces the strictly-increasing counter
-	// discipline across the whole batch, and a failed batch comes back
-	// zeroed rather than partially decrypted.
+	// decrypt straight into the result buffer; the stream replica
+	// enforces the strictly-increasing counter discipline across the
+	// whole batch, and a failed batch comes back zeroed rather than
+	// partially decrypted.
 	nChunks := int((n + core.ChunkSize - 1) / core.ChunkSize)
 	if cap(a.scratchSealed) < nChunks {
 		a.scratchSealed = make([]secmem.Sealed, nChunks)

@@ -1,6 +1,7 @@
 package adaptor
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -16,11 +17,21 @@ const readAllocCeiling = 24
 
 // TestReadAllocBudget pins the steady-state allocation count of the
 // D2H read path: per 64 KiB CollectD2H after warm-up, measured around
-// the collect call alone (region setup and device writes excluded).
+// the collect call alone (region setup and device writes excluded). It
+// holds at every GOMAXPROCS; each rig is built after GOMAXPROCS is set.
 func TestReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short harnesses")
 	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testReadAllocBudget(t)
+		})
+	}
+}
+
+func testReadAllocBudget(t *testing.T) {
 	r, dev := newRig(t, Optimized())
 	const size = 64 << 10
 	result := make([]byte, size)

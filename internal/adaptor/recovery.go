@@ -189,7 +189,7 @@ func (a *Adaptor) sealWithRetry(s *secmem.Stream, pt, aad []byte) (*secmem.Seale
 func (a *Adaptor) sealBatchStreamWithRetry(s *secmem.Stream, pts, aads [][]byte, emit func(i int, chunk *secmem.Sealed) error) error {
 	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
-		err := s.SealBatchStream(pts, aads, a.pool, emit)
+		err := s.SealBatchStream(pts, aads, emit)
 		if !errors.Is(err, secmem.ErrTransient) {
 			if err == nil && attempt > 0 {
 				a.rec.Recovered++
@@ -216,7 +216,7 @@ func (a *Adaptor) sealBatchStreamWithRetry(s *secmem.Stream, pts, aads [][]byte,
 func (a *Adaptor) openBatchIntoWithRetry(s *secmem.Stream, dst []byte, sealed []secmem.Sealed, aads [][]byte) error {
 	delay := a.policy.Backoff
 	for attempt := 0; ; attempt++ {
-		err := s.OpenBatchInto(dst, sealed, aads, a.pool)
+		err := s.OpenBatchInto(dst, sealed, aads)
 		if !errors.Is(err, secmem.ErrTransient) {
 			if err == nil && attempt > 0 {
 				a.rec.Recovered++

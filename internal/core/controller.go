@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ccai/internal/arena"
@@ -179,10 +178,6 @@ type Controller struct {
 	slab arena.Slab
 	pkts pcie.PacketArena
 
-	// pool bounds the SC's own batch-crypto parallelism (span decrypts
-	// on the H2D read path). Stateless and safe without mu.
-	pool *secmem.Pool
-
 	stats Stats
 
 	// obs mirrors stats into the metrics registry and records spans.
@@ -325,19 +320,8 @@ func NewController(id pcie.ID, bar pcie.Region, keys *secmem.KeyStore) *Controll
 		tagPend:   make(map[uint32]*tagSpan),
 		wspans:    make(map[uint32]*writeSpan),
 		verified:  make(map[uint32]*verifiedSet),
-		pool:      secmem.NewPool(cryptoWidth()),
 		status:    SCStatusReady,
 	}
-}
-
-// cryptoWidth mirrors the Adaptor's auto policy for crypto-pool sizing:
-// one worker per scheduler thread, capped where AES-GCM stops scaling.
-func cryptoWidth() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // AttachHostBus registers the controller's host-side presence: its own
@@ -708,7 +692,7 @@ func (c *Controller) streamByHash(h uint32) string {
 func (c *Controller) releaseRegion(id uint32) {
 	c.regions.remove(id)
 	c.dropVerified(id)
-	c.dropTagSpan(id)
+	c.dropD2HState(id)
 	c.dropWriteSpan(id)
 	c.dropSpanCache(id)
 }
@@ -1136,7 +1120,7 @@ func (c *Controller) decryptReadSpan(p *pcie.Packet, desc Descriptor) *pcie.Pack
 			desc.PutAAD((*[8]byte)(ab), chunk)
 			aads[i] = ab
 		}
-		err := stream.OpenBatchInto(pt, sealed, aads, c.pool)
+		err := stream.OpenBatchInto(pt, sealed, aads)
 		if err == nil {
 			c.mu.Lock()
 			region := c.verifiedFor(desc.ID, chunkCount(desc))
@@ -1351,14 +1335,16 @@ func (c *Controller) tagFlushPacket(desc Descriptor, span *tagSpan) *pcie.Packet
 	return c.pkts.MemWrite(c.id, addr, body)
 }
 
-// dropTagSpan discards a released region's pending tag records.
-func (c *Controller) dropTagSpan(region uint32) {
+// dropD2HState discards a released region's pending tag records and
+// its D2H progress counter.
+func (c *Controller) dropD2HState(region uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if span, ok := c.tagPend[region]; ok {
 		arena.Put(span.buf)
 		delete(c.tagPend, region)
 	}
+	delete(c.d2hChunks, region)
 }
 
 // dropVerified forgets retained chunk records for a released region.

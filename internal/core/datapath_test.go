@@ -226,6 +226,38 @@ func TestEncryptWritePublishesMetadata(t *testing.T) {
 	}
 }
 
+// TestReleasedRegionDropsD2HProgress: releasing a D2H region must drop
+// its progress counter along with the rest of its state. A serving SC
+// sees a fresh region ID per task, so a counter that outlives its
+// region is a per-task heap leak.
+func TestReleasedRegionDropsD2HProgress(t *testing.T) {
+	d := newDPRig(t)
+	for id := uint32(1); id <= 3; id++ {
+		desc := Descriptor{
+			ID: id, Dir: DirD2H, Class: ActionWriteReadProtect,
+			Base: ctlMem + 0x4000, Len: 2 * ChunkSize, TagBase: ctlMem + 0x8000, ChunkSize: ChunkSize,
+		}
+		if err := d.sc.regions.add(desc); err != nil {
+			t.Fatal(err)
+		}
+		d.sc.HandleFromDevice(pcie.NewMemWrite(d.dev.id, desc.Base, make([]byte, ChunkSize)))
+		d.sc.HandleFromDevice(pcie.NewMemWrite(d.dev.id, desc.Base+ChunkSize, make([]byte, ChunkSize)))
+		if got := d.sc.D2HProgress(id); got != 2 {
+			t.Fatalf("region %d: D2HProgress = %d before release, want 2", id, got)
+		}
+		d.host.Route(pcie.NewMemWrite(tvmID, ctlBar+RegDescRelease, le64(uint64(id))))
+		if got := d.sc.D2HProgress(id); got != 0 {
+			t.Fatalf("region %d: D2HProgress = %d after release, want 0", id, got)
+		}
+	}
+	d.sc.mu.Lock()
+	n := len(d.sc.d2hChunks)
+	d.sc.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d released regions still hold a D2H progress entry", n)
+	}
+}
+
 func le64(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, v)

@@ -245,7 +245,7 @@ func (c *Controller) prefetchSpan(desc Descriptor, addr uint64) {
 		desc.PutAAD((*[8]byte)(ab), chunk)
 		sc.aads[i] = ab
 	}
-	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k], c.pool)
+	err = stream.OpenBatchInto(pt, sc.sealed[:k], sc.aads[:k])
 	if c.recycleOn(c.hostBus) {
 		// The bounce fetch came from the host bridge's arena pool and its
 		// ciphertext has been consumed either way (public bytes: Put).
@@ -368,7 +368,7 @@ func (c *Controller) flushWriteSpan(desc Descriptor) bool {
 		desc.PutAAD((*[8]byte)(ab), span.start+uint32(i))
 		sc.aads[i] = ab
 	}
-	err = stream.SealBatchStream(span.pts, sc.aads[:k], c.pool, func(i int, chunk *secmem.Sealed) error {
+	err = stream.SealBatchStream(span.pts, sc.aads[:k], func(i int, chunk *secmem.Sealed) error {
 		// The sealed ciphertext is engine-internal memory reclaimed when
 		// emit returns; the copy into a buffer the host bridge cannot
 		// still be sharing (arena when the recycling loop is closed,

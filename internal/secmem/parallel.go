@@ -10,11 +10,13 @@ import (
 	"ccai/internal/obsv"
 )
 
-// Pool is a bounded parallel-for executor for per-chunk crypto work.
-// It implements the paper's §5 "allocate additional CPU threads for
-// the Adaptor" optimization: AES-GCM chunks within one region are
-// independent once their IV counters are reserved, so seal/open can
-// fan out across workers while all stream state stays serialized.
+// Pool is a bounded parallel-for executor for the slice-returning
+// SealBatch/OpenBatch calls: AES-GCM chunks within one batch are
+// independent once their IV counters are reserved, so they can fan out
+// across workers while all stream state stays serialized. The datapath
+// does not use it — SealBatchStream and OpenBatchInto run on the
+// calling goroutine, and the paper's §5 "allocate additional CPU
+// threads" optimization lives in the virtual-time cost model.
 //
 // A Pool holds no goroutines between calls; Run spawns at most
 // workers-1 helpers and joins them before returning, so there is

@@ -3,33 +3,34 @@ package secmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ccai/internal/arena"
 	"ccai/internal/obsv"
 )
 
 // SealBatchStream encrypts len(pts) chunks and delivers them to emit
-// strictly in submission order, overlapping crypto with whatever the
-// caller does in emit (bounce-buffer writes, tag posting): while emit
-// runs for chunk i, pool workers are already sealing chunks > i. This
-// is the streaming pipeline of DESIGN.md §10 — the replacement for the
-// barrier-style "seal all, then write all" staging.
+// strictly in submission order: chunk i is sealed, handed to emit, and
+// its buffer reused for chunk i+1, so the caller's per-chunk work
+// (bounce-buffer writes, tag posting) interleaves with crypto instead
+// of waiting for a whole "seal all, then write all" barrier — the
+// streaming pipeline of DESIGN.md §10. Crypto runs on the calling
+// goroutine; parallelism comes from one pipeline per tenant, and the
+// paper's §5 extra-crypto-threads optimization is priced by the
+// virtual-time cost model, not emulated here.
 //
 // Counter reservation and fault semantics are identical to SealBatch:
 // the fault hook is consulted once per chunk before any counter is
 // reserved, so an ErrTransient return consumes no stream state and the
 // whole batch may be retried with the same IVs. Once emit has run for
 // any chunk the batch is no longer retryable — an emit error aborts
-// the remaining pipeline and is returned as-is, with the consumed
+// the remaining chunks and is returned as-is, with the consumed
 // counters abandoned (the recovery ladder's repost/teardown logic owns
 // that case).
 //
 // The Sealed passed to emit has its Ciphertext backed by pooled arena
-// memory that is reclaimed the moment emit returns: emit must copy any
+// memory that is reused the moment emit returns: emit must copy any
 // bytes it keeps and must not retain the slice or the *Sealed.
-func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int, chunk *Sealed) error) error {
+func (s *Stream) SealBatchStream(pts, aads [][]byte, emit func(i int, chunk *Sealed) error) error {
 	n := len(pts)
 	if n == 0 {
 		return nil
@@ -61,8 +62,10 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 	}
 	o := s.obs
 	var total int64
+	maxLen := 0
 	for _, pt := range pts {
 		total += int64(len(pt))
+		maxLen = max(maxLen, len(pt))
 	}
 	s.mu.Unlock()
 
@@ -72,57 +75,27 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 			obsv.Str("stream", o.name), obsv.I64("bytes", total), obsv.I64("chunks", int64(n)))
 	}
 
-	w := pool.Workers()
-	if w > n {
-		w = n
-	}
-
-	// sealInto encrypts chunk i into an arena buffer using the worker's
-	// reusable IV array. The returned slice is ciphertext||tag.
-	sealInto := func(iv *[NonceSize]byte, i int) []byte {
+	// One arena buffer sized for the largest chunk serves the whole
+	// batch: emit copies anything it keeps, so the buffer is free for
+	// the next chunk the moment emit returns.
+	var iv [NonceSize]byte
+	buf := arena.Get(maxLen + TagSize)
+	var chunk Sealed
+	var err error
+	for i := 0; i < n && err == nil; i++ {
 		c := base + 1 + uint32(i)
-		binary.BigEndian.PutUint32(iv[nonceBase:], c)
+		putNonce(&iv, nb, c)
 		var aad []byte
 		if aads != nil {
 			aad = aads[i]
 		}
-		buf := arena.Get(len(pts[i]) + TagSize)
-		return aead.Seal(buf[:0], iv[:], pts[i], aad)
+		ct := aead.Seal(buf[:0], iv[:], pts[i], aad)
+		k := len(ct) - TagSize
+		chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k]}
+		copy(chunk.Tag[:], ct[k:])
+		err = emit(i, &chunk)
 	}
-
-	var err error
-	if w == 1 {
-		// Serial fast path: seal and emit inline, already in order. One
-		// arena buffer sized for the largest chunk serves the whole
-		// batch — emit must copy anything it keeps, so the buffer is
-		// free for reuse the moment emit returns.
-		var iv [NonceSize]byte
-		copy(iv[:], nb[:])
-		maxLen := 0
-		for _, pt := range pts {
-			if len(pt) > maxLen {
-				maxLen = len(pt)
-			}
-		}
-		buf := arena.Get(maxLen + TagSize)
-		var chunk Sealed
-		for i := 0; i < n && err == nil; i++ {
-			c := base + 1 + uint32(i)
-			putNonce(&iv, nb, c)
-			var aad []byte
-			if aads != nil {
-				aad = aads[i]
-			}
-			ct := aead.Seal(buf[:0], iv[:], pts[i], aad)
-			k := len(ct) - TagSize
-			chunk = Sealed{Counter: c, Epoch: epoch, Ciphertext: ct[:k]}
-			copy(chunk.Tag[:], ct[k:])
-			err = emit(i, &chunk)
-		}
-		arena.Put(buf) // ciphertext only: public bytes
-	} else {
-		err = sealStreamParallel(n, w, base, epoch, nb, sealInto, emit)
-	}
+	arena.Put(buf) // ciphertext only: public bytes
 
 	if o != nil {
 		sp.Attr(obsv.U64("ctr_first", uint64(base+1)), obsv.U64("epoch", uint64(epoch)))
@@ -135,107 +108,20 @@ func (s *Stream) SealBatchStream(pts, aads [][]byte, pool *Pool, emit func(i int
 	return err
 }
 
-// sealStreamParallel runs crypto workers over a bounded in-flight
-// window and emits completed chunks in submission order. Workers claim
-// indices from an atomic counter in increasing order, so the
-// next-to-emit chunk is always already claimed and never blocked on
-// the window (its distance to the emit frontier is zero) — the
-// pipeline cannot deadlock, and an emit error wakes any window-blocked
-// worker via the same condition variable.
-func sealStreamParallel(n, w int, base, epoch uint32, nb [nonceBase]byte,
-	sealInto func(iv *[NonceSize]byte, i int) []byte,
-	emit func(i int, chunk *Sealed) error) error {
-
-	window := 4 * w
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		bufs    = make([][]byte, n)
-		done    = make([]bool, n)
-		emitted int
-		abort   bool
-	)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		var iv [NonceSize]byte
-		copy(iv[:], nb[:])
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			mu.Lock()
-			for i-emitted >= window && !abort {
-				cond.Wait()
-			}
-			if abort {
-				mu.Unlock()
-				return
-			}
-			mu.Unlock()
-			ct := sealInto(&iv, i)
-			mu.Lock()
-			bufs[i], done[i] = ct, true
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go worker()
-	}
-
-	var err error
-	var chunk Sealed
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		for !done[i] {
-			cond.Wait()
-		}
-		ct := bufs[i]
-		bufs[i] = nil
-		mu.Unlock()
-		k := len(ct) - TagSize
-		chunk = Sealed{Counter: base + 1 + uint32(i), Epoch: epoch, Ciphertext: ct[:k]}
-		copy(chunk.Tag[:], ct[k:])
-		err = emit(i, &chunk)
-		arena.Put(ct)
-		mu.Lock()
-		emitted++
-		if err != nil {
-			abort = true
-		}
-		cond.Broadcast()
-		mu.Unlock()
-		if err != nil {
-			break
-		}
-	}
-	wg.Wait()
-	// Reclaim chunks that finished sealing after an abort.
-	for _, b := range bufs {
-		if b != nil {
-			arena.Put(b)
-		}
-	}
-	return err
-}
-
 // OpenBatchInto authenticates and decrypts a batch of chunks directly
 // into dst, which must hold at least the sum of the ciphertext
 // lengths. Chunk i's plaintext lands at the prefix-sum offset of the
 // preceding ciphertext lengths, so a region reassembles contiguously
 // with zero copies. Validation, watermark and fault semantics match
 // OpenBatch (the sealed records are taken by value so the caller can
-// reuse a scratch slice).
+// reuse a scratch slice); chunks are opened in order on the calling
+// goroutine and the first authentication failure ends the batch.
 //
 // On any authentication failure the written span of dst is zeroed
 // before returning ErrAuth — partial plaintext, including chunks that
 // verified before the failing one, never survives in caller-visible
 // memory (fail-closed discipline, DESIGN.md §10).
-func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool *Pool) error {
+func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte) error {
 	n := len(sealed)
 	if n == 0 {
 		return nil
@@ -243,26 +129,18 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 	if aads != nil && len(aads) != n {
 		return fmt.Errorf("secmem: %d chunks but %d aads", n, len(aads))
 	}
+	total, maxCt := 0, 0
+	for i := range sealed {
+		total += len(sealed[i].Ciphertext)
+		maxCt = max(maxCt, len(sealed[i].Ciphertext))
+	}
+	if total > len(dst) {
+		return fmt.Errorf("secmem: dst holds %d bytes, batch needs %d", len(dst), total)
+	}
 	// batchMu keeps two concurrent batch opens from interleaving their
-	// validate/advance windows, and in passing makes the batch scratch
-	// (offset prefix sums, per-chunk errors) single-owner so span-sized
-	// batches reuse one per-stream allocation instead of two per call.
-	// Lock order: batchMu, then mu.
+	// validate/advance windows. Lock order: batchMu, then mu.
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
-
-	if s.batchOffs == nil || len(s.batchOffs) < n+1 {
-		s.batchOffs = make([]int, n+1)
-		s.batchErrs = make([]error, n)
-	}
-	offs, errs := s.batchOffs[:n+1], s.batchErrs[:n]
-	offs[0] = 0
-	for i := range sealed {
-		offs[i+1] = offs[i] + len(sealed[i].Ciphertext)
-	}
-	if offs[n] > len(dst) {
-		return fmt.Errorf("secmem: dst holds %d bytes, batch needs %d", len(dst), offs[n])
-	}
 
 	s.mu.Lock()
 	if s.fault != nil {
@@ -292,48 +170,31 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 	o := s.obs
 	s.mu.Unlock()
 
-	maxCt := 0
-	for i := range sealed {
-		if len(sealed[i].Ciphertext) > maxCt {
-			maxCt = len(sealed[i].Ciphertext)
+	// One scratch carries ciphertext||tag plus the IV at its tail for
+	// every chunk — Open only reads from it while writing into dst, so
+	// reuse across chunks is safe.
+	buf := arena.Get(maxCt + TagSize + NonceSize)
+	good, off := 0, 0
+	for ; good < n; good++ {
+		c := &sealed[good]
+		ctLen := len(c.Ciphertext)
+		copy(buf, c.Ciphertext)
+		copy(buf[ctLen:], c.Tag[:])
+		iv := buf[ctLen+TagSize : ctLen+TagSize+NonceSize]
+		copy(iv, nb[:])
+		binary.BigEndian.PutUint32(iv[nonceBase:], c.Counter)
+		var aad []byte
+		if aads != nil {
+			aad = aads[good]
 		}
-	}
-	var bufMu sync.Mutex
-	var bufs [][]byte
-	pool.RunEach(n, func() func(i int) {
-		// One scratch per worker carries ciphertext||tag plus the IV at
-		// its tail for every chunk that worker opens — Open only reads
-		// from it while writing into dst, so reuse across chunks is safe
-		// and the per-chunk pool traffic of the old layout disappears.
-		buf := arena.Get(maxCt + TagSize + NonceSize)
-		bufMu.Lock()
-		bufs = append(bufs, buf)
-		bufMu.Unlock()
-		return func(i int) {
-			ctLen := len(sealed[i].Ciphertext)
-			copy(buf, sealed[i].Ciphertext)
-			copy(buf[ctLen:], sealed[i].Tag[:])
-			iv := buf[ctLen+TagSize : ctLen+TagSize+NonceSize]
-			copy(iv, nb[:])
-			binary.BigEndian.PutUint32(iv[nonceBase:], sealed[i].Counter)
-			var aad []byte
-			if aads != nil {
-				aad = aads[i]
-			}
-			out := dst[offs[i]:offs[i]:offs[i+1]]
-			_, err := aead.Open(out, iv, buf[:ctLen+TagSize], aad)
-			errs[i] = err
+		if _, err := aead.Open(dst[off:off:off+ctLen], iv, buf[:ctLen+TagSize], aad); err != nil {
+			break
 		}
-	})
-	for _, b := range bufs {
-		arena.Put(b) // scratch held ciphertext||tag||iv: public bytes
+		off += ctLen
 	}
+	arena.Put(buf) // scratch held ciphertext||tag||iv: public bytes
 
 	// Advance the watermark through the contiguous success prefix.
-	good := 0
-	for good < n && errs[good] == nil {
-		good++
-	}
 	s.mu.Lock()
 	if s.epoch == epoch && good > 0 {
 		s.recvCtr = sealed[good-1].Counter
@@ -341,9 +202,7 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 	s.mu.Unlock()
 
 	if good < n {
-		for i := range dst[:offs[n]] {
-			dst[i] = 0
-		}
+		clear(dst[:total])
 		if o != nil {
 			o.authFail.Inc()
 		}
@@ -351,7 +210,7 @@ func (s *Stream) OpenBatchInto(dst []byte, sealed []Sealed, aads [][]byte, pool 
 	}
 	if o != nil {
 		o.openOps.Add(uint64(n))
-		o.openBytes.Add(uint64(offs[n]))
+		o.openBytes.Add(uint64(total))
 	}
 	return nil
 }

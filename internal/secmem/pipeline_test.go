@@ -2,9 +2,9 @@ package secmem
 
 // Tests for the streaming seal pipeline and the batch-open-into path —
 // the DESIGN.md §10 datapath. The properties pinned here are the ones
-// the pipeline must not trade away for speed: in-order emit under a
-// parallel pool, IV safety across transient retries, and fail-closed
-// zeroing of partially decrypted output.
+// the pipeline must not trade away for speed: in-order emit, IV
+// safety across transient retries, and fail-closed zeroing of
+// partially decrypted output.
 
 import (
 	"bytes"
@@ -13,18 +13,21 @@ import (
 	"testing"
 )
 
-// TestSealBatchStreamInOrder runs the streaming pipeline over several
-// pool widths and asserts emit sees chunks strictly in submission
-// order with contiguous counters, and that the bytes delivered are
-// exactly what a serial Seal sequence would produce — reordering
-// inside the pool must never be visible at the emit boundary.
+// TestSealBatchStreamInOrder asserts emit sees chunks strictly in
+// submission order with contiguous counters, and that the bytes
+// delivered are exactly what a sequence of single-chunk Seal calls
+// would produce — the batch path is an allocation optimization, never
+// a protocol-visible one. Each subtest also seals the same batch
+// through the pooled SealBatch at that width, which must agree byte
+// for byte with the serial stream path.
 func TestSealBatchStreamInOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			serial, _ := newPair(t)
+			pooled, _ := newPair(t)
 			stream, _ := newPair(t)
 			key, nonce := FreshKey(), FreshNonce()
-			for _, s := range []*Stream{serial, stream} {
+			for _, s := range []*Stream{serial, pooled, stream} {
 				if err := s.Rekey(key, nonce); err != nil {
 					t.Fatal(err)
 				}
@@ -39,9 +42,13 @@ func TestSealBatchStreamInOrder(t *testing.T) {
 				}
 				want = append(want, s)
 			}
+			batch, err := pooled.SealBatch(pts, aads, NewPool(w))
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			next := 0
-			err := stream.SealBatchStream(pts, aads, NewPool(w), func(i int, chunk *Sealed) error {
+			err = stream.SealBatchStream(pts, aads, func(i int, chunk *Sealed) error {
 				if i != next {
 					t.Fatalf("emit order broken: got chunk %d, want %d", i, next)
 				}
@@ -52,6 +59,9 @@ func TestSealBatchStreamInOrder(t *testing.T) {
 				if !bytes.Equal(chunk.Ciphertext, want[i].Ciphertext) || chunk.Tag != want[i].Tag {
 					t.Fatalf("chunk %d: bytes diverge from serial seal", i)
 				}
+				if chunk.Counter != batch[i].Counter || !bytes.Equal(chunk.Ciphertext, batch[i].Ciphertext) || chunk.Tag != batch[i].Tag {
+					t.Fatalf("chunk %d: bytes diverge from the %d-worker SealBatch", i, w)
+				}
 				return nil
 			})
 			if err != nil {
@@ -60,8 +70,8 @@ func TestSealBatchStreamInOrder(t *testing.T) {
 			if next != len(pts) {
 				t.Fatalf("emit ran %d times, want %d", next, len(pts))
 			}
-			if stream.SendCounter() != serial.SendCounter() {
-				t.Fatalf("counters diverge: %d vs %d", stream.SendCounter(), serial.SendCounter())
+			if stream.SendCounter() != serial.SendCounter() || stream.SendCounter() != pooled.SendCounter() {
+				t.Fatalf("counters diverge: %d vs %d vs %d", stream.SendCounter(), serial.SendCounter(), pooled.SendCounter())
 			}
 		})
 	}
@@ -78,7 +88,7 @@ func TestSealBatchStreamEmitCopiesSurvive(t *testing.T) {
 	pts, aads := chunkset(25, 256)
 
 	sealed := make([]Sealed, 0, len(pts))
-	err := tx.SealBatchStream(pts, aads, NewPool(4), func(i int, chunk *Sealed) error {
+	err := tx.SealBatchStream(pts, aads, func(i int, chunk *Sealed) error {
 		c := *chunk
 		c.Ciphertext = append([]byte(nil), chunk.Ciphertext...)
 		sealed = append(sealed, c)
@@ -88,7 +98,7 @@ func TestSealBatchStreamEmitCopiesSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 25*256)
-	if err := rx.OpenBatchInto(dst, sealed, aads, nil); err != nil {
+	if err := rx.OpenBatchInto(dst, sealed, aads); err != nil {
 		t.Fatal(err)
 	}
 	for i := range pts {
@@ -116,7 +126,7 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 
 	before := tx.SendCounter()
 	emits := 0
-	err := tx.SealBatchStream(pts, aads, NewPool(2), func(i int, chunk *Sealed) error {
+	err := tx.SealBatchStream(pts, aads, func(i int, chunk *Sealed) error {
 		emits++
 		return nil
 	})
@@ -131,7 +141,7 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 	}
 
 	sealed := make([]Sealed, 0, len(pts))
-	err = tx.SealBatchStream(pts, aads, NewPool(2), func(i int, chunk *Sealed) error {
+	err = tx.SealBatchStream(pts, aads, func(i int, chunk *Sealed) error {
 		c := *chunk
 		c.Ciphertext = append([]byte(nil), chunk.Ciphertext...)
 		sealed = append(sealed, c)
@@ -144,7 +154,7 @@ func TestSealBatchStreamTransientConsumesNoCounters(t *testing.T) {
 		t.Fatalf("retry started at counter %d, want %d", sealed[0].Counter, before+1)
 	}
 	dst := make([]byte, 6*64)
-	if err := rx.OpenBatchInto(dst, sealed, aads, nil); err != nil {
+	if err := rx.OpenBatchInto(dst, sealed, aads); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,7 +167,7 @@ func TestSealBatchStreamEmitErrorAborts(t *testing.T) {
 	pts, aads := chunkset(16, 64)
 	boom := errors.New("bounce buffer revoked")
 	last := -1
-	err := tx.SealBatchStream(pts, aads, NewPool(4), func(i int, chunk *Sealed) error {
+	err := tx.SealBatchStream(pts, aads, func(i int, chunk *Sealed) error {
 		last = i
 		if i == 3 {
 			return boom
@@ -176,35 +186,47 @@ func TestSealBatchStreamEmitErrorAborts(t *testing.T) {
 // authentication, every plaintext byte the batch already produced —
 // including chunks that verified fine — must be zeroed before the
 // error returns. Partial plaintext never survives in caller-visible
-// memory.
+// memory. Each subtest seals the batch with the pooled SealBatch at
+// that width and checks that the pooled OpenBatch rejects the same
+// corrupted batch without returning plaintext.
 func TestOpenBatchIntoZeroesOnAuthFailure(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			tx, rx := newPair(t)
+			rxPooled, _ := newPair(t)
+			key, nonce := FreshKey(), FreshNonce()
+			for _, s := range []*Stream{tx, rx, rxPooled} {
+				if err := s.Rekey(key, nonce); err != nil {
+					t.Fatal(err)
+				}
+			}
 			pts, aads := chunkset(9, 128)
-			sealedPtrs, err := tx.SealBatch(pts, aads, nil)
+			sealedPtrs, err := tx.SealBatch(pts, aads, NewPool(w))
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Corrupt a late chunk so earlier ones decrypt first.
+			sealedPtrs[7].Ciphertext = append([]byte(nil), sealedPtrs[7].Ciphertext...)
+			sealedPtrs[7].Ciphertext[0] ^= 1
 			sealed := make([]Sealed, len(sealedPtrs))
 			for i, s := range sealedPtrs {
 				sealed[i] = *s
 			}
-			// Corrupt a late chunk so earlier ones decrypt first.
-			sealed[7].Ciphertext = append([]byte(nil), sealed[7].Ciphertext...)
-			sealed[7].Ciphertext[0] ^= 1
 
 			dst := make([]byte, 9*128)
 			for i := range dst {
 				dst[i] = 0xEE // sentinel: must not survive as plaintext
 			}
-			if err := rx.OpenBatchInto(dst, sealed, aads, NewPool(w)); !errors.Is(err, ErrAuth) {
+			if err := rx.OpenBatchInto(dst, sealed, aads); !errors.Is(err, ErrAuth) {
 				t.Fatalf("got %v, want ErrAuth", err)
 			}
 			for i, v := range dst {
 				if v != 0 {
 					t.Fatalf("byte %d = %#x after auth failure; span not zeroed", i, v)
 				}
+			}
+			if out, err := rxPooled.OpenBatch(sealedPtrs, aads, NewPool(w)); !errors.Is(err, ErrAuth) || out != nil {
+				t.Fatalf("pooled OpenBatch: got %d chunks, %v; want none and ErrAuth", len(out), err)
 			}
 		})
 	}

@@ -59,14 +59,9 @@ var ErrTransient = errors.New("secmem: transient crypto-engine fault")
 // replay and reordering on the untrusted bus segment (§8.2).
 type Stream struct {
 	// batchMu serializes whole OpenBatch operations (validate →
-	// parallel decrypt → watermark advance); it is always acquired
-	// before mu and never held by single-chunk operations.
+	// decrypt → watermark advance); it is always acquired before mu and
+	// never held by single-chunk operations.
 	batchMu sync.Mutex
-	// batchOffs/batchErrs are OpenBatchInto's reusable scratch (offset
-	// prefix sums and per-chunk verdicts), owned by whoever holds
-	// batchMu. They carry no secret material.
-	batchOffs []int
-	batchErrs []error
 
 	mu        sync.Mutex
 	aead      cipher.AEAD
@@ -76,8 +71,8 @@ type Stream struct {
 	epoch     uint32 // increments on rekey
 
 	// ivScratch is the IV assembly buffer for single-chunk Seal calls.
-	// Guarded by mu; batched paths build IVs in per-worker scratch
-	// instead, so this never races with the pipeline.
+	// Guarded by mu; batched paths build IVs in their own scratch
+	// outside the lock, so this never races with them.
 	ivScratch [NonceSize]byte
 
 	// fault, when set, is consulted before each engine operation and

@@ -188,8 +188,10 @@ type Device struct {
 
 	faultHook FaultHook
 
-	// Execution log for tests and the environment guard.
-	executed   []Command
+	// Execution counters for tests and the environment guard. Counts,
+	// not logs: a device serving tasks indefinitely must retain the
+	// same state after a million commands as after one.
+	executed   int
 	faults     int
 	coldBoots  int
 	envResets  int
@@ -354,11 +356,11 @@ func (d *Device) MSIDropped() int {
 // only while the device is quiescent.
 func (d *Device) DevMem() []byte { return d.devMem }
 
-// Executed reports commands completed since the last reset.
-func (d *Device) Executed() []Command {
+// Executed reports how many commands completed since the last reset.
+func (d *Device) Executed() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]Command(nil), d.executed...)
+	return d.executed
 }
 
 // ColdBoots reports how many cold resets the device performed.
@@ -487,7 +489,7 @@ func (d *Device) wipe() {
 		d.devMem[i] = 0
 	}
 	d.scratch = [64]byte{}
-	d.executed = nil
+	d.executed = 0
 	d.regs[RegCmdHead] = 0
 	d.regs[RegCmdTail] = 0
 	d.regs[RegPageTable] = 0
@@ -678,7 +680,7 @@ func (d *Device) execute(cmd Command) bool {
 	default:
 		return false
 	}
-	d.executed = append(d.executed, cmd)
+	d.executed++
 	return true
 }
 

@@ -3,6 +3,7 @@ package xpu
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"ccai/internal/mem"
@@ -203,8 +204,55 @@ func TestMultipleCommandsAdvanceHead(t *testing.T) {
 	if head := h.mmioRead64(RegCmdHead); head != 3 {
 		t.Fatalf("head = %d, want 3", head)
 	}
-	if len(h.dev.Executed()) != 3 {
-		t.Fatalf("executed = %d", len(h.dev.Executed()))
+	if n := h.dev.Executed(); n != 3 {
+		t.Fatalf("executed = %d", n)
+	}
+}
+
+// TestExecutedCommandsRetainConstantState runs 64,000 commands through
+// one device and requires its live heap to stay flat: every per-command
+// record the device keeps must be a counter, not a log, or a
+// long-running serving chassis leaks memory in proportion to the tasks
+// it has run.
+func TestExecutedCommandsRetainConstantState(t *testing.T) {
+	h := newHarness(t, A100)
+	for slot := uint64(0); slot < 64; slot++ {
+		if err := h.space.Write(h.ring.Base()+slot*CmdSize, Command{Op: OpNop}.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func() {
+		h.tail += 64
+		h.mmio64(RegCmdTail, h.tail)
+		h.mmio64(RegDoorbell, 1)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	batch() // warm-up: slabs and packet arenas carved
+	before := liveHeap()
+	const batches = 1000
+	for i := 1; i < batches; i++ {
+		batch()
+	}
+	after := liveHeap()
+	runtime.KeepAlive(h)
+
+	if n := h.dev.Executed(); n != batches*64 {
+		t.Fatalf("executed = %d, want %d", n, batches*64)
+	}
+	if head := h.mmioRead64(RegCmdHead); head != batches*64 {
+		t.Fatalf("head = %d, want %d", head, batches*64)
+	}
+	// 64,000 retained 32-byte commands would be 2 MiB; the harness's own
+	// MSI log adds ~4 KiB.
+	if after > before && after-before > 256<<10 {
+		t.Fatalf("live heap grew %d B over %d commands; device state must not scale with commands run",
+			after-before, batches*64)
 	}
 }
 

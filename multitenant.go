@@ -140,7 +140,7 @@ func NewMultiPlatform(profiles []xpu.Profile, options ...Option) (*MultiPlatform
 		Mux:    core.NewMux(SCID),
 		llmCfg: cfg.LLM,
 	}
-	mp.Bridge = &HostBridge{id: HostBridgeID, space: mp.space, iommu: mp.IOMMU}
+	mp.Bridge = &HostBridge{id: HostBridgeID, space: mp.space, iommu: mp.IOMMU, bus: mp.Host}
 	mp.Host.Attach(mp.Bridge)
 	mp.Host.Attach(mp.Mux)
 	if err := mp.Host.Claim(HostBridgeID, pcie.Region{Base: msiBase, Size: msiSize, Name: "msi"}); err != nil {
@@ -218,6 +218,11 @@ func (mp *MultiPlatform) addTenant(i int, profile xpu.Profile) error {
 		}
 	}
 	device.SetUpstream(func(p *pcie.Packet) *pcie.Packet { return internal.Route(p) })
+	// Payload recycling on the tenant's internal segment, identical to
+	// the single-tenant assembly: every gate re-checks Bus.Untapped per
+	// packet, so a tap installed mid-run falls back to allocation.
+	device.SetPayloadRecycling(internal.Untapped, internal.Untapped)
+	sc.EnableDatapathRecycling()
 	sc.SetTeardownHook(func() {
 		plan := sc.Guard().CleanPlan(profile.SupportsSoftReset, xpu.RegReset, xpu.ResetEnv, xpu.ResetCold)
 		buf := make([]byte, 8)
