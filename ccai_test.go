@@ -2,6 +2,8 @@ package ccai
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"ccai/internal/adaptor"
@@ -263,5 +265,36 @@ func TestAttestationGatesKeyProvisioning(t *testing.T) {
 	}
 	if _, err := p.RunTask(Task{Input: []byte("x"), Kernel: KernelAdd}); err == nil {
 		t.Fatal("task ran on unattested platform")
+	}
+}
+
+// cancelAfterFirstCheck is a context that is live at its first Err()
+// call and cancelled from then on: cancellation lands while the task
+// is staging.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	c.checks++
+	if c.checks == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestPlatformCancelAfterStaging: a cancellation that lands after the
+// entry check is honoured at the next safe point, and the result is
+// withheld.
+func TestPlatformCancelAfterStaging(t *testing.T) {
+	p := protectedPlatform(t, xpu.A100)
+	ctx := &cancelAfterFirstCheck{Context: context.Background()}
+	out, err := p.RunTaskCtx(ctx, Task{Input: []byte("cancel me mid-run"), Kernel: KernelXOR, Param: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out != nil {
+		t.Fatalf("cancelled run returned output %q", out)
 	}
 }

@@ -246,7 +246,7 @@ func wireTenantFault(tn *Tenant, inj *fault.Injector, class fault.Class) {
 	case fault.TagLoss:
 		tn.SC.Tags().SetFaultHook(inj.TagFault)
 	default:
-		tn.internal.AddTap(inj)
+		tn.Internal.AddTap(inj)
 	}
 }
 

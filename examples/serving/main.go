@@ -19,12 +19,11 @@ import (
 func main() {
 	// 1. A chassis with two tenant slices (A100 + N150d) and the
 	//    observability hub on, so the run leaves a metrics trail.
-	mp, err := ccai.NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.N150d})
+	mp, err := ccai.NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.N150d}, ccai.WithObserve())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer mp.Close()
-	mp.Observe()
 	if err := mp.EstablishTrustAll(); err != nil {
 		log.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func runMatrixCell(t *testing.T, class fault.Class, seed uint64) (string, uint64
 	if n := p.SC.Params().Active(); n != 0 {
 		t.Fatalf("I6 violated: %d live stream contexts after teardown under %v", n, class)
 	}
-	if p.scKeys.Count() != 0 || p.tvmKeys.Count() != 0 {
+	if p.SC.Keys().Count() != 0 || p.tvmKeys.Count() != 0 {
 		t.Fatalf("I6 violated: key material survived teardown under %v", class)
 	}
 

@@ -2,7 +2,6 @@ package ccai
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -246,9 +245,6 @@ func (t *Tenant) OpenSession(ctx context.Context, cfg llm.Config) (*InferenceSes
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
-	}
-	if t.parent == nil {
-		return nil, errors.New("ccai: OpenSession needs a MultiPlatform tenant")
 	}
 	if err := cfg.Normalize(); err != nil {
 		return nil, err

@@ -120,8 +120,10 @@ type Space struct {
 	// task. Backings are zeroed at Free time — the same eager-zeroing
 	// discipline as arena.PutZero, since a bounce buffer may have held
 	// tenant plaintext — so Alloc's zeroed-memory contract holds for
-	// recycled backings without further work.
-	spare map[int][][]byte
+	// recycled backings without further work. spareBytes is the total
+	// retained, bounded by spareMaxBytes.
+	spare      map[int][][]byte
+	spareBytes int64
 }
 
 type regionAlloc struct {
@@ -194,10 +196,14 @@ func (r *regionAlloc) release(base uint64, size int64) {
 	r.free = out
 }
 
-// spareCap bounds how many retired backings are kept per size class;
-// beyond it the GC takes them, so a burst of odd-sized buffers cannot
-// pin memory forever.
-const spareCap = 8
+// spareCap bounds how many retired backings are kept per size class,
+// and spareMaxBytes the bytes kept across all classes; beyond either
+// the GC takes them, so a stream of odd-sized buffers (a serving mix
+// with many distinct request sizes) cannot pin memory forever.
+const (
+	spareCap      = 8
+	spareMaxBytes = 16 << 20
+)
 
 // Alloc materializes a zeroed buffer of the given size in region,
 // reusing a retired backing of the same capacity when one is spare.
@@ -207,6 +213,7 @@ func (s *Space) Alloc(region, name string, size int64) (*Buffer, error) {
 		if bs := s.spare[int(size)]; len(bs) > 0 {
 			b.data = bs[len(bs)-1]
 			s.spare[int(size)] = bs[:len(bs)-1]
+			s.spareBytes -= size
 			return
 		}
 		b.data = make([]byte, size)
@@ -269,12 +276,13 @@ func (s *Space) Free(b *Buffer) {
 		if s.spare == nil {
 			s.spare = make(map[int][][]byte)
 		}
-		if bs := s.spare[int(b.size)]; len(bs) < spareCap {
+		if bs := s.spare[int(b.size)]; len(bs) < spareCap && s.spareBytes+b.size <= spareMaxBytes {
 			d := b.data[:cap(b.data)]
 			for i := range d {
 				d[i] = 0 // eager zeroing: the backing may have held plaintext
 			}
 			s.spare[int(b.size)] = append(bs, d)
+			s.spareBytes += b.size
 		}
 	}
 	b.data = nil

@@ -333,3 +333,30 @@ func TestPinnedBufferSurvivesFree(t *testing.T) {
 		t.Fatal("buffer still resolvable after Unpin+Free")
 	}
 }
+
+// TestSpareBytesBounded frees buffers of 10,000 distinct sizes, as a
+// long-lived serving mix does, and checks the retired backings kept
+// for reuse stay under spareMaxBytes in total.
+func TestSpareBytesBounded(t *testing.T) {
+	s := newTestSpace(t)
+	for i := 0; i < 10000; i++ {
+		b, err := s.Alloc("bounce", "odd", int64(4096+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Free(b)
+	}
+	var retained int64
+	for size, bs := range s.spare {
+		retained += int64(size * len(bs))
+	}
+	if retained > spareMaxBytes {
+		t.Fatalf("spare retains %d B, cap %d B", retained, spareMaxBytes)
+	}
+	if retained != s.spareBytes {
+		t.Fatalf("spareBytes = %d, spare map holds %d B", s.spareBytes, retained)
+	}
+	if retained == 0 {
+		t.Fatal("nothing retained; the test is vacuous")
+	}
+}

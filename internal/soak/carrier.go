@@ -101,11 +101,10 @@ func newCarrier(cfg *Config, orc *oracle, clk *sim.Engine) (*carrier, error) {
 	for i := range profiles {
 		profiles[i] = xpu.A100
 	}
-	mp, err := ccai.NewMultiPlatform(profiles)
+	mp, err := ccai.NewMultiPlatform(profiles, ccai.WithObserve())
 	if err != nil {
 		return nil, err
 	}
-	mp.Observe()
 	if err := mp.EstablishTrustAll(); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ package ccai
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ccai/internal/attack"
@@ -286,6 +287,26 @@ func TestMultiTenantSnoopIsolation(t *testing.T) {
 	for i, s := range secrets {
 		if snoop.SawPlaintext(s) {
 			t.Fatalf("tenant %d secret visible on the shared bus", i)
+		}
+	}
+}
+
+// TestTenantAttestationGatesKeyProvisioning is the chassis form of the
+// §6 firmware check: every tenant's SC unit attests its xPU before any
+// key exists, so a golden measurement no device matches leaves every
+// tenant without session keys.
+func TestTenantAttestationGatesKeyProvisioning(t *testing.T) {
+	mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.T4}, WithGoldenFirmware("flashed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	if err := mp.EstablishTrustAll(); !errors.Is(err, ErrAttestFailed) {
+		t.Fatalf("EstablishTrustAll = %v, want ErrAttestFailed", err)
+	}
+	for _, tn := range mp.Tenants {
+		if n := tn.SC.Keys().Count(); n != 0 {
+			t.Fatalf("tenant %d holds %d keys despite failed attestation", tn.Index, n)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Option is one functional construction option for New. Options apply
 // onto a Config, so New and the (deprecated) NewPlatform build
 // identical platforms; zero options means the defaults (A100, Vanilla,
-// 64-entry ring, observability off).
+// observability off).
 type Option func(*Config)
 
 // WithXPU selects the device model (xpu.A100, xpu.H100, xpu.MI300,
@@ -35,9 +35,6 @@ func WithTelemetry(o telemetry.Options) Option {
 	return func(c *Config) { opts := o; c.Telemetry = &opts; c.Observe = true }
 }
 
-// WithRingEntries sizes the command ring (default 64).
-func WithRingEntries(n uint64) Option { return func(c *Config) { c.RingEntries = n } }
-
 // WithAdaptor selects the §5 optimization set (Protected mode only);
 // the default is adaptor.Optimized().
 func WithAdaptor(o adaptor.Options) Option {
@@ -50,7 +47,7 @@ func WithGoldenFirmware(fw string) Option { return func(c *Config) { c.GoldenFir
 
 // WithLLMEngine configures the chassis's continuous-batching inference
 // engine (KV budget, session slots, step quantum, dispatcher workers).
-// Only NewMultiPlatform consumes it; zero fields keep engine defaults.
+// Zero fields keep engine defaults.
 func WithLLMEngine(cfg llm.EngineConfig) Option {
 	return func(c *Config) { c.LLM = cfg }
 }

@@ -372,7 +372,7 @@ func (s *Scheduler) execute(r *request, flow int) {
 	}
 	sp := s.obs.T().Begin(obsv.TrackSched, "execute",
 		obsv.Str("tenant", label), obsv.I64("bytes", int64(len(r.task.Input))))
-	out, err := s.mp.Tenants[r.h.Tenant].RunTaskCtx(r.ctx, r.task)
+	out, err := s.mp.Tenants[r.h.Tenant].run(r.ctx, r.task)
 	status := "ok"
 	switch {
 	case err == nil:

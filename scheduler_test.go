@@ -742,14 +742,13 @@ func TestObserveOffNilHubErgonomics(t *testing.T) {
 // counters, queue-depth gauge, queue-wait histogram, and the admit /
 // queue_wait / execute span triple on the sched track.
 func TestSchedulerObservability(t *testing.T) {
-	mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.A100})
+	mp, err := NewMultiPlatform([]xpu.Profile{xpu.A100, xpu.A100}, WithObserve())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mp.Close()
-	mp.Observe()
 	if mp.Observability() == nil {
-		t.Fatal("Observability() nil after Observe")
+		t.Fatal("Observability() nil after WithObserve")
 	}
 	if err := mp.EstablishTrustAll(); err != nil {
 		t.Fatal(err)

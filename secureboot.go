@@ -4,23 +4,23 @@ import (
 	"crypto/ecdsa"
 	"fmt"
 
-	"ccai/internal/core"
 	"ccai/internal/hrot"
 )
 
-// SecureBoot runs the platform's measured boot (§6): the HRoT-Blade
+// SecureBoot runs the tenant's measured boot (§6): the HRoT-Blade
 // verifies vendor signatures over the PCIe-SC bitstream, the
 // controller firmware, the *actual* static packet-filter policy this
-// platform installed, and the xPU firmware — extending each into its
-// PCR. The returned blade is what remote attestation quotes against;
-// the measured policy means a platform booted with different filter
-// rules produces different PCRs and fails the verifier's golden check.
+// tenant's SC unit installed, and the xPU firmware — extending each
+// into its PCR. The returned blade is what remote attestation quotes
+// against; the measured policy means a platform booted with different
+// filter rules produces different PCRs and fails the verifier's golden
+// check.
 //
 // vendorCA signs the shipped images; in deployment it lives with the
 // hardware vendor, here the caller generates it (see
 // examples/attestation).
-func (p *Platform) SecureBoot(vendorCA *ecdsa.PrivateKey) (*hrot.Blade, error) {
-	if p.Mode != Protected {
+func (t *Tenant) SecureBoot(vendorCA *ecdsa.PrivateKey) (*hrot.Blade, error) {
+	if t.Mode != Protected {
 		return nil, fmt.Errorf("ccai: secure boot applies to protected platforms")
 	}
 	blade, err := hrot.NewBlade(vendorCA)
@@ -34,8 +34,8 @@ func (p *Platform) SecureBoot(vendorCA *ecdsa.PrivateKey) (*hrot.Blade, error) {
 	}{
 		{"pcie-sc-bitstream", hrot.PCRBitstream, []byte("ccai packet filter + handlers + aes-gcm-sha engine v1.0")},
 		{"controller-firmware", hrot.PCRFirmware, []byte("pcie-sc fw 1.0")},
-		{"boot-policy", hrot.PCRPolicy, p.BootPolicyImage()},
-		{"xpu-firmware", hrot.PCRXPU, []byte(p.Device.Profile().FirmwareVersion)},
+		{"boot-policy", hrot.PCRPolicy, t.BootPolicyImage()},
+		{"xpu-firmware", hrot.PCRXPU, []byte(t.Device.Profile().FirmwareVersion)},
 	}
 	chain := make([]hrot.BootImage, 0, len(images))
 	for _, im := range images {
@@ -48,25 +48,19 @@ func (p *Platform) SecureBoot(vendorCA *ecdsa.PrivateKey) (*hrot.Blade, error) {
 	if err := blade.SecureBoot(&vendorCA.PublicKey, chain); err != nil {
 		return nil, err
 	}
-	blade.SetObserver(p.Obs)
-	p.Blade = blade
+	blade.SetObserver(t.parent.Obs)
+	t.Blade = blade
 	return blade, nil
 }
 
 // BootPolicyImage serializes the static packet-filter policy installed
 // at assembly into the byte image measured during secure boot. Using
 // the live rules (not a constant) is what makes the PCR sensitive to
-// policy substitution.
-func (p *Platform) BootPolicyImage() []byte {
-	if p.SC == nil {
-		return nil
-	}
+// policy substitution. A vanilla tenant has no policy.
+func (t *Tenant) BootPolicyImage() []byte {
 	var img []byte
-	for _, r := range p.bootRules {
+	for _, r := range t.bootRules {
 		img = append(img, r.Marshal()...)
 	}
 	return img
 }
-
-// bootRules records the rules installBootRules loaded, for measurement.
-func (p *Platform) recordBootRule(r core.Rule) { p.bootRules = append(p.bootRules, r) }

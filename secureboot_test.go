@@ -63,7 +63,7 @@ func TestPlatformSecureBootSensitiveToPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.recordBootRule(b.bootRules[0]) // policy image differs by one rule
+	b.bootRules = append(b.bootRules, b.bootRules[0]) // policy image differs by one rule
 	bladeB, err := b.SecureBoot(ca)
 	if err != nil {
 		t.Fatal(err)

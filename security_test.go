@@ -390,7 +390,7 @@ func TestRQ2_IVExhaustionForcesRekey(t *testing.T) {
 	// Force the Adaptor's stream near exhaustion via many small stages
 	// is impractical; instead verify at the secmem layer with the same
 	// material, then verify rekey on the SC's manager.
-	key, nonce, err := p.scKeys.Material(core.StreamH2D)
+	key, nonce, err := p.SC.Keys().Material(core.StreamH2D)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"ccai/internal/adaptor"
+	"ccai/internal/mem"
 	"ccai/internal/obsv"
-	"ccai/internal/tvm"
 	"ccai/internal/xpu"
 )
 
@@ -45,168 +45,186 @@ type Task struct {
 	Param  uint8
 }
 
-// RunTask executes a task on the platform's device using the native
+// RunTask executes a task on the tenant's device using the native
 // driver flow: stage input, submit copy/kernel/copy commands, collect
 // the result. Under Protected mode the input crosses the host bus only
 // as ciphertext and the result returns encrypted; under Vanilla it
-// travels in the clear (which the adversary tests exploit).
+// travels in the clear (which the adversary tests exploit). Safe to
+// call concurrently with other tenants' RunTask; calls on the same
+// tenant serialize.
 //
-// With observability on (Config.Observe) each run opens a task scope:
-// every span recorded until the task returns carries the same task ID,
-// and the run itself is one "run_task" span on the task track tagged
-// with the kernel, input size and outcome — metadata only, never the
-// data.
-func (p *Platform) RunTask(t Task) ([]byte, error) {
-	return p.RunTaskCtx(context.Background(), t)
+// With observability on each run opens a task scope: every span
+// recorded until the task returns carries the same task ID, and the
+// run itself is one "run_task" span on the task track tagged with the
+// kernel, input size and outcome — metadata only, never the data.
+func (t *Tenant) RunTask(task Task) ([]byte, error) {
+	return t.RunTaskCtx(context.Background(), task)
 }
 
-// RunTaskCtx is RunTask with end-to-end cancellation: the context is
-// honored at the pipeline's safe points (before staging, before the
-// doorbell); once the submission is rung the run drains to completion
-// and only then is the cancellation reported, so stream state is never
-// left mid-protocol. Cancellation errors satisfy errors.Is on
-// context.Canceled / ErrDeadlineExceeded.
-func (p *Platform) RunTaskCtx(ctx context.Context, t Task) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := p.Obs.T()
+// RunTaskCtx is RunTask with end-to-end cancellation. The context is
+// honored at the pipeline's safe points — before staging and before
+// the doorbell — so an early cancellation costs nothing on the device.
+// Once the submission is rung the run is drained to completion and
+// only then is the cancellation reported (result discarded): aborting
+// a command mid-ring would leave IV counters and tag state
+// mid-protocol, which no cancellation is worth. Cancellation errors
+// satisfy errors.Is on context.Canceled / ErrDeadlineExceeded.
+func (t *Tenant) RunTaskCtx(ctx context.Context, task Task) ([]byte, error) {
+	obs := t.parent.Obs
+	tr := obs.T()
 	id := tr.StartTask()
 	defer tr.EndTask()
 	sp := tr.Begin(obsv.TrackTask, "run_task",
 		obsv.U64("task", id),
-		obsv.Str("kernel", t.Kernel.String()),
-		obsv.I64("in_bytes", int64(len(t.Input))),
-		obsv.Str("mode", p.Mode.String()))
-	out, err := p.runTask(ctx, t)
+		obsv.Str("kernel", task.Kernel.String()),
+		obsv.I64("in_bytes", int64(len(task.Input))),
+		obsv.Str("mode", t.Mode.String()))
+	out, err := t.run(ctx, task)
 	status := "ok"
 	if err != nil {
 		status = "error"
 	}
 	sp.Attr(obsv.Str("status", status), obsv.I64("out_bytes", int64(len(out))))
 	sp.End()
-	p.Obs.Reg().Counter(obsv.Name("task.runs", "mode", p.Mode.String(), "status", status)).Inc()
+	obs.Reg().Counter(obsv.Name("task.runs", "mode", t.Mode.String(), "status", status)).Inc()
 	return out, err
 }
 
-func (p *Platform) runTask(ctx context.Context, t Task) ([]byte, error) {
-	if len(t.Input) == 0 {
-		return nil, ErrEmptyInput
+// run is the task datapath behind RunTaskCtx and the Scheduler (which
+// wraps it in its own execute span). Only staging and collection
+// branch on the mode.
+func (t *Tenant) run(ctx context.Context, task Task) ([]byte, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if p.Mode == Protected && !p.trusted {
-		return nil, fmt.Errorf("%w; call EstablishTrust first", ErrNotTrusted)
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
 	}
-	outLen := int64(len(t.Input))
-	if t.Kernel == KernelChecksum && outLen < 8 {
+	if t.Mode == Protected && !t.trusted {
+		return nil, fmt.Errorf("ccai: tenant %d: %w; call EstablishTrust first", t.Index, ErrNotTrusted)
+	}
+	if len(task.Input) == 0 {
+		return nil, fmt.Errorf("ccai: tenant %d: %w", t.Index, ErrEmptyInput)
+	}
+	outLen := int64(len(task.Input))
+	if task.Kernel == KernelChecksum && outLen < 8 {
 		outLen = 8
 	}
 
 	var inAddr, outAddr uint64
-	var collect func() ([]byte, error)
-	var release func()
-	var inRegion *adaptor.Region
-
-	if p.Mode == Protected {
-		in, err := p.Adaptor.StageH2D("task-input", t.Input)
+	var inRegion, outRegion *adaptor.Region
+	var outBuf *mem.Buffer
+	if t.Mode == Protected {
+		in, err := t.Adaptor.StageH2D("task-input", task.Input)
 		if err != nil {
 			return nil, err
 		}
-		out, err := p.Adaptor.PrepareD2H("task-output", outLen)
+		defer t.Adaptor.ReleaseRegion(in)
+		out, err := t.Adaptor.PrepareD2H("task-output", outLen)
 		if err != nil {
-			p.Adaptor.ReleaseRegion(in)
 			return nil, err
 		}
-		inRegion = in
+		defer t.Adaptor.ReleaseRegion(out)
+		inRegion, outRegion = in, out
 		inAddr, outAddr = in.Buf.Base(), out.Buf.Base()
-		collect = func() ([]byte, error) { return p.Adaptor.CollectD2H(out, outLen) }
-		release = func() {
-			p.Adaptor.ReleaseRegion(in)
-			p.Adaptor.ReleaseRegion(out)
-		}
 	} else {
-		in, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-input", int64(len(t.Input)))
+		space := t.Guest.Space
+		in, err := space.Alloc(t.shared, "task-input", int64(len(task.Input)))
 		if err != nil {
 			return nil, err
 		}
-		copy(in.Bytes(), t.Input)
-		out, err := p.Guest.Space.Alloc(tvm.SharedRegion, "task-output", outLen)
+		defer space.Free(in)
+		copy(in.Bytes(), task.Input)
+		out, err := space.Alloc(t.shared, "task-output", outLen)
 		if err != nil {
-			p.Guest.Space.Free(in)
 			return nil, err
 		}
+		defer space.Free(out)
+		outBuf = out
 		inAddr, outAddr = in.Base(), out.Base()
-		collect = func() ([]byte, error) { return append([]byte(nil), out.Bytes()...), nil }
-		release = func() {
-			p.Guest.Space.Free(in)
-			p.Guest.Space.Free(out)
-		}
 	}
-	defer release()
+	// Last safe point: staging consumed IV counters (monotonically — a
+	// released region is never re-sealed under the same IVs), but the
+	// device has seen nothing, so abandoning here is free.
+	if err := ctx.Err(); err != nil {
+		return nil, ctxErr(err)
+	}
 
 	// The device-memory layout for the task: input at 0, output after.
 	const devIn, devOut = 0x0, 0x40000
 	cmds := []xpu.Command{
-		{Op: xpu.OpCopyH2D, Src: inAddr, Dst: devIn, Len: uint64(len(t.Input))},
-		{Op: xpu.OpKernel, Param: uint32(t.Kernel)<<16 | uint32(t.Param), Src: devIn, Dst: devOut, Len: uint64(outLen)},
+		{Op: xpu.OpCopyH2D, Src: inAddr, Dst: devIn, Len: uint64(len(task.Input))},
+		{Op: xpu.OpKernel, Param: uint32(task.Kernel)<<16 | uint32(task.Param), Src: devIn, Dst: devOut, Len: uint64(outLen)},
 		{Op: xpu.OpCopyD2H, Src: devOut, Dst: outAddr, Len: uint64(outLen)},
 	}
-	before := p.Driver.Tail()
-	if err := p.Driver.Submit(cmds...); err != nil {
+	before := t.Driver.Tail()
+	if err := t.Driver.Submit(cmds...); err != nil {
 		return nil, err
 	}
 	want := before + uint64(len(cmds))
-	head, err := p.Driver.Head()
-	if err != nil && p.Mode != Protected {
-		return nil, err
+	head, err := t.Driver.Head()
+	if err != nil || head != want {
+		if rerr := t.recoverSubmission(inRegion, before, want); rerr != nil {
+			return nil, rerr
+		}
 	}
-	if err == nil && head == want {
-		return collect()
+	var res []byte
+	if t.Mode == Protected {
+		if res, err = t.Adaptor.CollectD2H(outRegion, outLen); err != nil {
+			return nil, err
+		}
+	} else {
+		res = append([]byte(nil), outBuf.Bytes()...)
 	}
-	if p.Mode != Protected {
-		st, _ := p.Driver.Status()
-		return nil, fmt.Errorf("ccai: device consumed %d/%d commands (status %#x)", head-before, len(cmds), st)
+	// Cancellation that landed mid-run: the pipeline drained cleanly
+	// (collect included, so stream state is fully advanced); only the
+	// result is withheld.
+	if err := ctx.Err(); err != nil {
+		return nil, ctxErr(err)
 	}
-	if err := p.recoverSubmission(inRegion, before, want); err != nil {
-		return nil, err
-	}
-	return collect()
+	return res, nil
 }
 
 // submitRecoveryAttempts bounds the stalled-submission recovery loop.
 const submitRecoveryAttempts = 3
 
-// recoverSubmission drives the Protected-mode recovery ladder for a
-// submission the device did not fully consume: re-align the A3 MMIO
-// sequence (a lost guarded write desynchronises it permanently), repost
-// the input region's tag table (tag-packet loss orphans chunks), then
-// kick the driver (re-sync ring MACs, re-ring the doorbell). If the
-// device still hasn't consumed everything after bounded attempts, the
-// Adaptor tears the session down fail-closed: keys zeroized on both
-// ends and the device cleaned through the environment guard, because a
-// half-run confidential task must not leave a live session behind.
-func (p *Platform) recoverSubmission(in *adaptor.Region, before, want uint64) error {
-	for attempt := 0; attempt < submitRecoveryAttempts; attempt++ {
-		if err := p.Adaptor.ResyncMMIO(); err != nil {
+// recoverSubmission drives the recovery ladder for a submission the
+// device did not fully consume: re-align the A3 MMIO sequence (a lost
+// guarded write desynchronises it permanently), repost the input
+// region's tag table (tag-packet loss orphans chunks), then kick the
+// driver (re-sync ring MACs, re-ring the doorbell). Without it a single
+// dropped doorbell or lost guarded write would desynchronise the ring
+// head from its tail permanently. If the device still hasn't consumed
+// everything after bounded attempts, the Adaptor tears the session
+// down fail-closed: keys zeroized on both ends and the device cleaned
+// through the environment guard, because a half-run confidential task
+// must not leave a live session behind. A vanilla tenant has no ladder
+// and reports the stall as is.
+func (t *Tenant) recoverSubmission(in *adaptor.Region, before, want uint64) error {
+	for attempt := 0; t.Mode == Protected && attempt < submitRecoveryAttempts; attempt++ {
+		if err := t.Adaptor.ResyncMMIO(); err != nil {
 			break
 		}
 		if in != nil {
-			p.Adaptor.RepostTags(in)
+			t.Adaptor.RepostTags(in)
 		}
-		if err := p.Driver.Kick(); err != nil {
+		if err := t.Driver.Kick(); err != nil {
 			continue
 		}
-		head, err := p.Driver.Head()
+		head, err := t.Driver.Head()
 		if err == nil && head == want {
 			return nil
 		}
 	}
-	st, _ := p.Driver.Status()
-	head, _ := p.Driver.Head()
+	st, _ := t.Driver.Status()
+	head, _ := t.Driver.Head()
 	reason := fmt.Sprintf("submission stalled: device consumed %d/%d commands (status %#x)", head-before, want-before, st)
-	p.Adaptor.FailClosed(reason)
-	p.trusted = false
-	return fmt.Errorf("ccai: %s; session torn down", reason)
+	if t.Mode != Protected {
+		return fmt.Errorf("ccai: tenant %d: %s", t.Index, reason)
+	}
+	t.Adaptor.FailClosed(reason)
+	t.trusted = false
+	return fmt.Errorf("ccai: tenant %d: %s; session torn down", t.Index, reason)
 }
